@@ -80,8 +80,8 @@ impl EngineBuilder {
         self
     }
 
-    /// The local peer's IP address (identity for `one_connection_per_ip`
-    /// and for filtering the tracker's own-address echoes).
+    /// The local peer's IP address (filters the tracker's own-address
+    /// echoes).
     pub fn ip(mut self, ip: IpAddr) -> EngineBuilder {
         self.ip = ip;
         self

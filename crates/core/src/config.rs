@@ -56,9 +56,6 @@ pub struct Config {
     /// Behaviour switch: super-seeding-style gradual piece advertisement
     /// (§IV-A.1 mentions clients with this option as an entropy artefact).
     pub super_seed: bool,
-    /// Refuse a second concurrent connection from an IP address already in
-    /// the peer set (§III-D: mainline default on).
-    pub one_connection_per_ip: bool,
     /// End game mode (§II-C.1). Enabled by default, as in all the paper's
     /// experiments; the ablation bench turns it off.
     pub endgame_enabled: bool,
@@ -95,7 +92,6 @@ impl Default for Config {
             choker: ChokerKind::Standard,
             upload_disabled: false,
             super_seed: false,
-            one_connection_per_ip: true,
             endgame_enabled: true,
             fast_extension: false,
             allowed_fast_count: bt_wire::fast::DEFAULT_ALLOWED_FAST,
@@ -132,7 +128,6 @@ mod tests {
         assert_eq!(c.optimistic_rounds, 3);
         assert_eq!(c.picker, PickerKind::RarestFirst);
         assert_eq!(c.choker, ChokerKind::Standard);
-        assert!(c.one_connection_per_ip);
         assert!(!c.upload_disabled);
     }
 

@@ -26,6 +26,10 @@ pub struct Connection {
     pub initiated_by_us: bool,
     /// The remote's advertised pieces.
     pub bitfield: Bitfield,
+    /// The remote's piece map (`bitfield`, `have all` or `have none`)
+    /// arrived: the peer is a peer-set member and its pieces are counted
+    /// in the engine's availability.
+    pub bitfield_received: bool,
     /// Local → remote choke state (starts choked).
     pub am_choking: bool,
     /// Local → remote interest (starts not interested).
@@ -50,7 +54,7 @@ pub struct Connection {
     /// Pieces the local peer granted this peer as allowed-fast.
     pub allowed_fast_sent: Vec<u32>,
     /// Pieces this peer granted the local peer as allowed-fast.
-    pub allowed_fast_received: std::collections::HashSet<u32>,
+    pub allowed_fast_received: Bitfield,
     /// Virtual time of the last block received from this peer, for
     /// snub detection.
     pub last_block_received: Option<Instant>,
@@ -58,10 +62,13 @@ pub struct Connection {
     pub extended: bool,
     /// The inner ID under which the remote accepts `ut_pex` gossip.
     pub remote_pex_id: Option<u8>,
-    /// Peer addresses already gossiped to this peer (delta tracking).
-    pub pex_sent: std::collections::HashSet<IpAddr>,
+    /// Peer addresses already gossiped to this peer (delta tracking),
+    /// ascending.
+    pub pex_sent: Vec<IpAddr>,
     /// When `ut_pex` was last sent on this connection.
     pub last_pex: Instant,
+    /// Super seeding: pieces revealed to this peer via `have`.
+    pub revealed: Bitfield,
 }
 
 impl Connection {
@@ -81,6 +88,7 @@ impl Connection {
             peer_id,
             initiated_by_us,
             bitfield: Bitfield::new(num_pieces),
+            bitfield_received: false,
             am_choking: true,
             am_interested: false,
             peer_choking: true,
@@ -92,12 +100,13 @@ impl Connection {
             joined: now,
             fast: false,
             allowed_fast_sent: Vec::new(),
-            allowed_fast_received: std::collections::HashSet::new(),
+            allowed_fast_received: Bitfield::new(num_pieces),
             last_block_received: None,
             extended: false,
             remote_pex_id: None,
-            pex_sent: std::collections::HashSet::new(),
+            pex_sent: Vec::new(),
             last_pex: Instant::ZERO,
+            revealed: Bitfield::new(num_pieces),
         }
     }
 

@@ -31,7 +31,7 @@ use bt_wire::time::Instant;
 use bt_wire::tracker::{AnnounceEvent, PeerEntry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Capabilities a remote peer advertised in its handshake reserved bits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,17 +120,17 @@ pub struct Engine {
     leecher_choker: Box<dyn Choker>,
     seed_choker: Box<dyn Choker>,
 
-    conns: HashMap<ConnId, Connection>,
-    /// Connections that have delivered their bitfield (and are therefore
-    /// recorded as peer-set members).
-    joined: HashSet<ConnId>,
-    connected_ips: HashSet<IpAddr>,
+    /// The peer set, in ascending [`ConnId`] order: ids are issued
+    /// monotonically, so a new connection is a `push`, removal keeps the
+    /// order, and every per-connection sweep is already deterministic.
+    conns: Vec<Connection>,
     next_conn: ConnId,
     initiated_open: usize,
     pending_dials: usize,
     candidate_pool: VecDeque<PeerEntry>,
 
-    buffers: HashMap<u32, PieceBuffer>,
+    /// Per-piece block buffers, indexed by piece (real-data mode only).
+    buffers: Vec<Option<PieceBuffer>>,
     is_seed: bool,
     seed_at: Option<Instant>,
     endgame_recorded: bool,
@@ -140,9 +140,9 @@ pub struct Engine {
     /// re-armed after every round, overridable via
     /// [`Engine::schedule_rechoke`].
     next_rechoke: Option<Instant>,
-    /// Super-seed state: pieces revealed per connection, and global
-    /// reveal counts used to pick the least-revealed piece next.
-    revealed_to: HashMap<ConnId, HashSet<u32>>,
+    /// Super-seed state: global reveal counts used to pick the
+    /// least-revealed piece next (per-peer reveals live on
+    /// [`Connection::revealed`]).
     reveal_counts: Vec<u32>,
 
     rng: SmallRng,
@@ -326,6 +326,11 @@ impl Engine {
         let leecher_choker = config.choker.build_leecher();
         let seed_choker = config.choker.build_seed();
         let config_endgame = config.endgame_enabled;
+        let buffers = if data.is_real() {
+            (0..num_pieces).map(|_| None).collect()
+        } else {
+            Vec::new()
+        };
         Engine {
             config,
             geometry,
@@ -343,20 +348,17 @@ impl Engine {
             picker,
             leecher_choker,
             seed_choker,
-            conns: HashMap::new(),
-            joined: HashSet::new(),
-            connected_ips: HashSet::new(),
+            conns: Vec::new(),
             next_conn: 0,
             initiated_open: 0,
             pending_dials: 0,
             candidate_pool: VecDeque::new(),
-            buffers: HashMap::new(),
+            buffers,
             is_seed,
             seed_at: if is_seed { Some(Instant::ZERO) } else { None },
             endgame_recorded: false,
             last_announce: Instant::ZERO,
             next_rechoke: None,
-            revealed_to: HashMap::new(),
             reveal_counts: vec![0; num_pieces as usize],
             rng: SmallRng::seed_from_u64(seed),
             actions: Actions::default(),
@@ -463,14 +465,30 @@ impl Engine {
         self.scheduler.in_endgame()
     }
 
-    /// Iterate over connections (read-only view for the harness).
+    /// Iterate over connections in ascending id order (read-only view
+    /// for the harness).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.values()
+        self.conns.iter()
     }
 
     /// Connection by id.
     pub fn connection(&self, conn: ConnId) -> Option<&Connection> {
-        self.conns.get(&conn)
+        self.slot(conn).map(|i| &self.conns[i])
+    }
+
+    /// Position of `conn` in the id-ordered table.
+    fn slot(&self, conn: ConnId) -> Option<usize> {
+        self.conns.binary_search_by_key(&conn, |c| c.id).ok()
+    }
+
+    fn conn_mut(&mut self, conn: ConnId) -> Option<&mut Connection> {
+        self.slot(conn).map(|i| &mut self.conns[i])
+    }
+
+    /// True if a live connection already uses `ip` (one connection per
+    /// address, §III-D).
+    fn is_connected(&self, ip: IpAddr) -> bool {
+        self.conns.iter().any(|c| c.ip == ip)
     }
 
     /// Take ownership of the recorded trace (ends recording).
@@ -608,7 +626,7 @@ impl Engine {
 
     fn do_tracker_response(&mut self, _now: Instant, peers: Vec<PeerEntry>) {
         for p in peers {
-            if p.ip != self.ip && !self.connected_ips.contains(&p.ip) {
+            if p.ip != self.ip && !self.is_connected(p.ip) {
                 self.candidate_pool.push_back(p);
             }
         }
@@ -622,7 +640,7 @@ impl Engine {
             let Some(peer) = self.candidate_pool.pop_front() else {
                 break;
             };
-            if self.connected_ips.contains(&peer.ip) {
+            if self.is_connected(peer.ip) {
                 continue;
             }
             self.pending_dials += 1;
@@ -630,12 +648,10 @@ impl Engine {
         }
     }
 
-    /// Should an inbound connection from `ip` be accepted?
+    /// Should a connection from `ip` be accepted? Only while the peer set
+    /// has room and no live connection uses the same address.
     pub fn accept_incoming(&self, ip: IpAddr) -> bool {
-        if self.conns.len() >= self.config.max_peer_set {
-            return false;
-        }
-        !(self.config.one_connection_per_ip && self.connected_ips.contains(&ip))
+        self.conns.len() < self.config.max_peer_set && !self.is_connected(ip)
     }
 
     fn do_peer_connected(
@@ -649,13 +665,7 @@ impl Engine {
         if initiated_by_us {
             self.pending_dials = self.pending_dials.saturating_sub(1);
         }
-        if !initiated_by_us && !self.accept_incoming(ip) {
-            return None;
-        }
-        if self.config.one_connection_per_ip && self.connected_ips.contains(&ip) {
-            return None;
-        }
-        if self.conns.len() >= self.config.max_peer_set {
+        if !self.accept_incoming(ip) {
             return None;
         }
         let id = self.next_conn;
@@ -672,8 +682,7 @@ impl Engine {
         conn.extended = self.config.pex_enabled && caps.extended;
         let is_fast = conn.fast;
         let is_extended = conn.extended;
-        self.conns.insert(id, conn);
-        self.connected_ips.insert(ip);
+        self.conns.push(conn);
         if initiated_by_us {
             self.initiated_open += 1;
         }
@@ -707,10 +716,9 @@ impl Engine {
             for &piece in &grants {
                 self.send(now, id, Message::AllowedFast(piece));
             }
-            self.conns
-                .get_mut(&id)
-                .expect("just inserted")
-                .allowed_fast_sent = grants;
+            if let Some(c) = self.conns.last_mut() {
+                c.allowed_fast_sent = grants;
+            }
         }
         // Extension protocol: advertise ut_pex in the extension handshake.
         if is_extended {
@@ -732,69 +740,60 @@ impl Engine {
         Some(id)
     }
 
-    /// Super-seeding: offer `conn` the least-revealed piece it has not
-    /// been offered yet. Minimising reveal counts is what keeps the
-    /// initial seed's duplicate-piece ratio low (§IV-A.4).
     /// Send `ut_pex` deltas (current peer set vs. last gossip) to every
     /// pex-capable connection whose interval elapsed.
     fn send_pex_rounds(&mut self, now: Instant) {
-        let current: Vec<IpAddr> = {
-            let mut v: Vec<IpAddr> = self.conns.values().map(|c| c.ip).collect();
-            v.sort_unstable();
-            v
-        };
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| {
-                c.remote_pex_id.is_some()
-                    && now.saturating_since(c.last_pex) >= self.config.pex_interval
-            })
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            let (ext_id, added, dropped) = {
-                let c = self.conns.get_mut(&id).expect("present");
-                c.last_pex = now;
-                let own_ip = c.ip;
-                let added: Vec<PeerEntry> = current
-                    .iter()
-                    .filter(|ip| **ip != own_ip && !c.pex_sent.contains(ip))
-                    .map(|&ip| PeerEntry { ip, port: 6881 })
-                    .collect();
-                let dropped: Vec<PeerEntry> = c
-                    .pex_sent
-                    .iter()
-                    .filter(|ip| !current.contains(ip))
-                    .map(|&ip| PeerEntry { ip, port: 6881 })
-                    .collect();
-                c.pex_sent = current.iter().copied().filter(|ip| *ip != own_ip).collect();
-                (c.remote_pex_id.expect("filtered"), added, dropped)
+        let mut current: Vec<IpAddr> = self.conns.iter().map(|c| c.ip).collect();
+        current.sort_unstable();
+        for i in 0..self.conns.len() {
+            let c = &mut self.conns[i];
+            let Some(ext_id) = c.remote_pex_id else {
+                continue;
             };
+            if now.saturating_since(c.last_pex) < self.config.pex_interval {
+                continue;
+            }
+            c.last_pex = now;
+            let own_ip = c.ip;
+            let entry = |&ip: &IpAddr| PeerEntry { ip, port: 6881 };
+            let added: Vec<PeerEntry> = current
+                .iter()
+                .filter(|ip| **ip != own_ip && c.pex_sent.binary_search(*ip).is_err())
+                .map(entry)
+                .collect();
+            let dropped: Vec<PeerEntry> = c
+                .pex_sent
+                .iter()
+                .filter(|ip| current.binary_search(*ip).is_err())
+                .map(entry)
+                .collect();
+            c.pex_sent = current.iter().copied().filter(|ip| *ip != own_ip).collect();
             if added.is_empty() && dropped.is_empty() {
                 continue;
             }
             let payload = bt_wire::extension::PexPayload { added, dropped }.encode();
+            let id = c.id;
             self.send(now, id, Message::Extended { ext_id, payload });
         }
     }
 
+    /// Super-seeding: offer `conn` the least-revealed piece it has not
+    /// been offered yet. Minimising reveal counts is what keeps the
+    /// initial seed's duplicate-piece ratio low (§IV-A.4).
     fn reveal_next_piece(&mut self, now: Instant, conn: ConnId) {
-        let already = self.revealed_to.entry(conn).or_default().clone();
+        let Some(i) = self.slot(conn) else {
+            return;
+        };
         let mut best: Option<(u32, u32)> = None; // (count, piece)
-        for piece in self.own.iter_ones() {
-            if already.contains(&piece) {
-                continue;
-            }
+        for piece in self.own.iter_ones_andnot(&self.conns[i].revealed) {
             let count = self.reveal_counts[piece as usize];
-            if best.is_none_or(|(c, p)| count < c || (count == c && piece < p)) {
+            if best.is_none_or(|(c, _)| count < c) {
                 best = Some((count, piece));
             }
         }
         if let Some((_, piece)) = best {
             self.reveal_counts[piece as usize] += 1;
-            self.revealed_to.entry(conn).or_default().insert(piece);
+            self.conns[i].revealed.set(piece);
             self.send(now, conn, Message::Have(piece));
         }
     }
@@ -810,18 +809,17 @@ impl Engine {
     }
 
     fn cleanup_conn(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.remove(&conn) else {
+        let Some(i) = self.slot(conn) else {
             return;
         };
-        self.connected_ips.remove(&c.ip);
+        let c = self.conns.remove(i);
         if c.initiated_by_us {
             self.initiated_open = self.initiated_open.saturating_sub(1);
         }
-        if self.joined.remove(&conn) {
+        if c.bitfield_received {
             self.availability.remove_peer(&c.bitfield);
             self.record(now, TraceEvent::PeerLeft { peer: conn });
         }
-        self.revealed_to.remove(&conn);
         let _dropped = self.scheduler.on_peer_gone(conn);
     }
 
@@ -830,7 +828,7 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn do_message(&mut self, now: Instant, conn: ConnId, msg: Message) -> Result<(), EngineError> {
-        if !self.conns.contains_key(&conn) {
+        if self.slot(conn).is_none() {
             return Ok(()); // raced a disconnect
         }
         if self.trace.is_some() {
@@ -848,7 +846,15 @@ impl Engine {
         }
         match msg {
             Message::KeepAlive | Message::Port(_) => {}
-            Message::Bitfield(bits) => self.on_bitfield(now, conn, &bits)?,
+            Message::Bitfield(bits) => {
+                let Some(bf) = Bitfield::from_wire(&bits, self.geometry.num_pieces()) else {
+                    return Err(EngineError::BadBitfield {
+                        conn,
+                        len: bits.len(),
+                    });
+                };
+                self.on_bitfield(now, conn, bf)?;
+            }
             Message::Have(piece) => self.on_have(now, conn, piece)?,
             Message::Interested => self.on_remote_interest(now, conn, true),
             Message::NotInterested => self.on_remote_interest(now, conn, false),
@@ -864,16 +870,14 @@ impl Engine {
                 // Advisory only; the rarest-first picker ignores hints.
             }
             Message::HaveAll => {
-                let full = Bitfield::full(self.geometry.num_pieces());
-                self.on_bitfield(now, conn, &full.to_wire())?;
+                self.on_bitfield(now, conn, Bitfield::full(self.geometry.num_pieces()))?;
             }
             Message::HaveNone => {
-                let empty = Bitfield::new(self.geometry.num_pieces());
-                self.on_bitfield(now, conn, &empty.to_wire())?;
+                self.on_bitfield(now, conn, Bitfield::new(self.geometry.num_pieces()))?;
             }
-            Message::RejectRequest(block) => self.on_reject(now, conn, block),
+            Message::RejectRequest(block) => self.on_reject(conn, block),
             Message::AllowedFast(piece) => self.on_allowed_fast(now, conn, piece),
-            Message::Extended { ext_id, payload } => self.on_extended(now, conn, ext_id, &payload),
+            Message::Extended { ext_id, payload } => self.on_extended(conn, ext_id, &payload),
         }
         Ok(())
     }
@@ -899,8 +903,8 @@ impl Engine {
         Ok(())
     }
 
-    fn on_extended(&mut self, now: Instant, conn: ConnId, ext_id: u8, payload: &[u8]) {
-        let Some(c) = self.conns.get_mut(&conn) else {
+    fn on_extended(&mut self, conn: ConnId, ext_id: u8, payload: &[u8]) {
+        let Some(c) = self.conn_mut(conn) else {
             return;
         };
         if !c.extended {
@@ -915,9 +919,8 @@ impl Engine {
         // ut_pex gossip arrives under the ID *we* advertised.
         if ext_id == bt_wire::extension::UT_PEX_LOCAL_ID {
             if let Ok(pex) = bt_wire::extension::PexPayload::decode(payload) {
-                let _ = now;
                 for p in pex.added {
-                    if p.ip != self.ip && !self.connected_ips.contains(&p.ip) {
+                    if p.ip != self.ip && !self.is_connected(p.ip) {
                         self.candidate_pool.push_back(p);
                     }
                 }
@@ -926,34 +929,29 @@ impl Engine {
         }
     }
 
-    fn on_bitfield(&mut self, now: Instant, conn: ConnId, bits: &[u8]) -> Result<(), EngineError> {
-        let num_pieces = self.geometry.num_pieces();
-        let Some(bf) = Bitfield::from_wire(bits, num_pieces) else {
-            // Protocol violation: `handle` drops the peer.
-            return Err(EngineError::BadBitfield {
-                conn,
-                len: bits.len(),
-            });
+    /// The remote's piece map (`bitfield`, `have all` or `have none`):
+    /// the peer joins the peer set and its pieces enter availability.
+    /// Only one map per connection is allowed; a second one would
+    /// overwrite pieces availability has already counted.
+    fn on_bitfield(&mut self, now: Instant, conn: ConnId, bf: Bitfield) -> Result<(), EngineError> {
+        let Some(i) = self.slot(conn) else {
+            return Ok(());
         };
-        let (ip, peer_id, pieces) = {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            c.bitfield = bf;
-            (c.ip, c.peer_id, c.bitfield.count_ones())
-        };
-        if self.joined.insert(conn) {
-            let old = self.conns[&conn].bitfield.clone();
-            self.availability.add_peer(&old);
-            self.record(
-                now,
-                TraceEvent::PeerJoined {
-                    peer: conn,
-                    ip,
-                    peer_id,
-                    pieces_on_arrival: pieces,
-                    total_pieces: num_pieces,
-                },
-            );
+        let c = &mut self.conns[i];
+        if c.bitfield_received {
+            return Err(EngineError::DuplicateBitfield { conn });
         }
+        c.bitfield_received = true;
+        c.bitfield = bf;
+        let event = TraceEvent::PeerJoined {
+            peer: conn,
+            ip: c.ip,
+            peer_id: c.peer_id,
+            pieces_on_arrival: c.bitfield.count_ones(),
+            total_pieces: c.bitfield.len(),
+        };
+        self.availability.add_peer(&c.bitfield);
+        self.record(now, event);
         self.after_remote_pieces_changed(now, conn);
         Ok(())
     }
@@ -966,22 +964,18 @@ impl Engine {
                 num_pieces: self.geometry.num_pieces(),
             });
         }
-        let newly = {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            c.bitfield.set(piece)
+        let Some(c) = self.conn_mut(conn) else {
+            return Ok(());
         };
-        if newly && self.joined.contains(&conn) {
-            self.availability.add_have(piece);
-        }
+        let newly = c.bitfield.set(piece);
+        let counted = c.bitfield_received;
         // Super seeding: a peer confirming a piece we revealed to it is
         // the trigger to offer it the next one.
-        if self.config.super_seed
-            && newly
-            && self
-                .revealed_to
-                .get(&conn)
-                .is_some_and(|set| set.contains(&piece))
-        {
+        let confirmed_reveal = newly && c.revealed.get(piece);
+        if newly && counted {
+            self.availability.add_have(piece);
+        }
+        if self.config.super_seed && confirmed_reveal {
             self.reveal_next_piece(now, conn);
         }
         self.after_remote_pieces_changed(now, conn);
@@ -991,7 +985,7 @@ impl Engine {
     /// Remote gained pieces: refresh interest, drop seed↔seed links, and
     /// top up the request pipeline.
     fn after_remote_pieces_changed(&mut self, now: Instant, conn: ConnId) {
-        if self.is_seed && self.conns.get(&conn).is_some_and(Connection::is_seed) {
+        if self.is_seed && self.connection(conn).is_some_and(Connection::is_seed) {
             // Seeds have nothing to exchange (§IV-A.2.b: "when a leecher
             // becomes a seed, it closes its connections to all the seeds").
             self.cleanup_conn(now, conn);
@@ -1003,13 +997,13 @@ impl Engine {
     }
 
     fn on_remote_interest(&mut self, now: Instant, conn: ConnId, interested: bool) {
-        {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            if c.peer_interested == interested {
-                return;
-            }
-            c.peer_interested = interested;
+        let Some(c) = self.conn_mut(conn) else {
+            return;
+        };
+        if c.peer_interested == interested {
+            return;
         }
+        c.peer_interested = interested;
         self.record(
             now,
             TraceEvent::RemoteInterest {
@@ -1020,19 +1014,20 @@ impl Engine {
     }
 
     fn on_remote_choke(&mut self, now: Instant, conn: ConnId, choked: bool) {
-        {
-            let c = self.conns.get_mut(&conn).expect("checked");
-            if c.peer_choking == choked {
-                return;
-            }
-            c.peer_choking = choked;
+        let Some(c) = self.conn_mut(conn) else {
+            return;
+        };
+        if c.peer_choking == choked {
+            return;
         }
+        c.peer_choking = choked;
+        let fast = c.fast;
         self.record(now, TraceEvent::RemoteChoke { peer: conn, choked });
         if choked {
             // Mainline drops outstanding requests on choke.
             let _ = self.scheduler.on_choked(conn);
             // Allowed-fast pieces remain requestable while choked.
-            if self.conns.get(&conn).is_some_and(|c| c.fast) {
+            if fast {
                 self.fill_requests(now, conn);
             }
         } else {
@@ -1040,28 +1035,27 @@ impl Engine {
         }
     }
 
-    fn on_reject(&mut self, now: Instant, conn: ConnId, block: BlockRef) {
-        let Some(c) = self.conns.get(&conn) else {
+    fn on_reject(&mut self, conn: ConnId, block: BlockRef) {
+        let Some(c) = self.connection(conn) else {
             return;
         };
         if !c.fast {
             return; // protocol violation outside the Fast Extension
         }
         let _ = self.scheduler.on_request_rejected(conn, block);
-        let _ = now;
     }
 
     fn on_allowed_fast(&mut self, now: Instant, conn: ConnId, piece: u32) {
         if piece >= self.geometry.num_pieces() {
             return;
         }
-        let Some(c) = self.conns.get_mut(&conn) else {
+        let Some(c) = self.conn_mut(conn) else {
             return;
         };
         if !c.fast {
             return;
         }
-        c.allowed_fast_received.insert(piece);
+        c.allowed_fast_received.set(piece);
         // The grant may make a choked connection usable right away.
         self.fill_requests(now, conn);
     }
@@ -1079,7 +1073,7 @@ impl Engine {
         if self.config.upload_disabled {
             return Ok(()); // free rider: silently ignore
         }
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.connection(conn) else {
             return Ok(());
         };
         if !self.own.get(block.piece) {
@@ -1101,13 +1095,12 @@ impl Engine {
             }
             return Ok(());
         }
-        let _ = now;
         self.actions.push(Action::SendBlock { conn, block });
         Ok(())
     }
 
     fn do_block_sent(&mut self, now: Instant, conn: ConnId, block: BlockRef) {
-        if let Some(c) = self.conns.get_mut(&conn) {
+        if let Some(c) = self.conn_mut(conn) {
             c.upload.record(now, u64::from(block.length));
             c.last_sent = now;
         }
@@ -1132,24 +1125,19 @@ impl Engine {
         data: bytes::Bytes,
     ) -> Result<(), EngineError> {
         self.check_block(conn, block)?;
-        {
-            let Some(c) = self.conns.get_mut(&conn) else {
-                return Ok(());
-            };
-            c.download.record(now, u64::from(block.length));
-            c.last_block_received = Some(now);
-        }
+        let Some(c) = self.conn_mut(conn) else {
+            return Ok(());
+        };
+        c.download.record(now, u64::from(block.length));
+        c.last_block_received = Some(now);
         let receipt = self.scheduler.on_block_received(conn, block);
         if !receipt.accepted {
             return Ok(());
         }
         self.record(now, TraceEvent::BlockReceived { peer: conn, block });
-        if self.data.is_real() {
-            let buf = self
-                .buffers
-                .entry(block.piece)
-                .or_insert_with(|| PieceBuffer::new(self.geometry.blocks_in_piece(block.piece)));
-            buf.store(block.block_index(), data);
+        if let Some(buf) = self.buffers.get_mut(block.piece as usize) {
+            buf.get_or_insert_with(|| PieceBuffer::new(self.geometry.blocks_in_piece(block.piece)))
+                .store(block.block_index(), data);
         }
         for (other, cancel) in receipt.cancels {
             self.send(now, other, Message::Cancel(cancel));
@@ -1163,9 +1151,8 @@ impl Engine {
 
     fn on_piece_complete(&mut self, now: Instant, piece: u32) {
         let ok = if self.data.is_real() {
-            let assembled = self
-                .buffers
-                .remove(&piece)
+            let assembled = self.buffers[piece as usize]
+                .take()
                 .and_then(|b| b.assemble())
                 .unwrap_or_default();
             self.data.verify_piece(piece, &assembled)
@@ -1186,8 +1173,7 @@ impl Engine {
         if let Some(m) = &self.metrics {
             m.pieces_completed.inc();
         }
-        let mut conn_ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable();
+        let conn_ids: Vec<ConnId> = self.conns.iter().map(|c| c.id).collect();
         for id in &conn_ids {
             self.send(now, *id, Message::Have(piece));
         }
@@ -1216,13 +1202,12 @@ impl Engine {
             event: AnnounceEvent::Completed,
         });
         // Close connections to other seeds.
-        let mut seeds: Vec<ConnId> = self
+        let seeds: Vec<ConnId> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.is_seed())
-            .map(|(&id, _)| id)
+            .filter(|c| c.is_seed())
+            .map(|c| c.id)
             .collect();
-        seeds.sort_unstable();
         for id in seeds {
             self.cleanup_conn(now, id);
             self.actions.push(Action::Disconnect { conn: id });
@@ -1234,14 +1219,15 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn update_local_interest(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(i) = self.slot(conn) else {
             return;
         };
+        let c = &mut self.conns[i];
         let want = !self.is_seed && self.own.is_interested_in(&c.bitfield);
         if want == c.am_interested {
             return;
         }
-        self.conns.get_mut(&conn).expect("checked").am_interested = want;
+        c.am_interested = want;
         let msg = if want {
             Message::Interested
         } else {
@@ -1258,15 +1244,16 @@ impl Engine {
     }
 
     fn fill_requests(&mut self, now: Instant, conn: ConnId) {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(i) = self.slot(conn) else {
             return;
         };
         if self.is_seed {
             return;
         }
+        let c = &self.conns[i];
         // While choked, only the Fast Extension's allowed-fast pieces are
         // requestable; restrict the visible remote bitfield to the grant.
-        let choked_fast = c.peer_choking && c.fast && !c.allowed_fast_received.is_empty();
+        let choked_fast = c.peer_choking && c.fast && c.allowed_fast_received.count_ones() > 0;
         if c.peer_choking && !choked_fast {
             return;
         }
@@ -1280,22 +1267,24 @@ impl Engine {
         if room == 0 {
             return;
         }
+        let restricted;
         let remote = if choked_fast {
-            let mut restricted = Bitfield::new(self.geometry.num_pieces());
-            for &p in &c.allowed_fast_received {
+            let mut granted = Bitfield::new(self.geometry.num_pieces());
+            for p in c.allowed_fast_received.iter_ones() {
                 if c.bitfield.get(p) {
-                    restricted.set(p);
+                    granted.set(p);
                 }
             }
-            restricted
+            restricted = granted;
+            &restricted
         } else {
-            c.bitfield.clone()
+            &c.bitfield
         };
         let downloaded = self.own.count_ones();
         let never = |_p: u32| false; // the scheduler tracks in-progress itself
         let ctx = PickContext {
             own: &self.own,
-            remote: &remote,
+            remote,
             availability: &self.availability,
             in_progress: &never,
             downloaded_pieces: downloaded,
@@ -1342,40 +1331,27 @@ impl Engine {
     pub fn rechoke(&mut self, now: Instant) {
         let _span_guard = self.profiler.span("core.choke_round");
         let round_started = self.metrics.as_ref().map(|m| m.registry.now_micros());
-        let snapshots: Vec<PeerSnapshot> = {
-            let mut v: Vec<PeerSnapshot> =
-                self.conns.values_mut().map(|c| c.snapshot(now)).collect();
-            v.sort_by_key(|s| s.key);
-            v
-        };
+        let snapshots: Vec<PeerSnapshot> = self.conns.iter_mut().map(|c| c.snapshot(now)).collect();
         let decision = if self.is_seed {
             self.seed_choker.rechoke(now, &snapshots, &mut self.rng)
         } else {
             self.leecher_choker.rechoke(now, &snapshots, &mut self.rng)
         };
-        let desired: HashSet<ConnId> = decision.unchoked().into_iter().collect();
-        let mut all: Vec<ConnId> = self.conns.keys().copied().collect();
-        all.sort_unstable();
+        let desired = decision.unchoked();
         let mut flips = 0u32;
-        for id in all {
-            let currently_unchoked = !self.conns[&id].am_choking;
-            if desired.contains(&id) && !currently_unchoked {
-                let role = if decision.regular.contains(&id) {
-                    if self.is_seed {
-                        UnchokeRole::SeedKept
-                    } else {
-                        UnchokeRole::Regular
-                    }
-                } else if self.is_seed {
-                    UnchokeRole::SeedRandom
-                } else {
-                    UnchokeRole::Optimistic
+        for i in 0..self.conns.len() {
+            let c = &mut self.conns[i];
+            let id = c.id;
+            let want_unchoked = desired.contains(&id);
+            if want_unchoked && c.am_choking {
+                let role = match (decision.regular.contains(&id), self.is_seed) {
+                    (true, true) => UnchokeRole::SeedKept,
+                    (true, false) => UnchokeRole::Regular,
+                    (false, true) => UnchokeRole::SeedRandom,
+                    (false, false) => UnchokeRole::Optimistic,
                 };
-                {
-                    let c = self.conns.get_mut(&id).expect("present");
-                    c.am_choking = false;
-                    c.last_unchoked = Some(now);
-                }
+                c.am_choking = false;
+                c.last_unchoked = Some(now);
                 flips += 1;
                 self.send(now, id, Message::Unchoke);
                 self.record(
@@ -1386,8 +1362,8 @@ impl Engine {
                         role: Some(role),
                     },
                 );
-            } else if !desired.contains(&id) && currently_unchoked {
-                self.conns.get_mut(&id).expect("present").am_choking = true;
+            } else if !want_unchoked && !c.am_choking {
+                c.am_choking = true;
                 flips += 1;
                 self.send(now, id, Message::Choke);
                 self.record(
@@ -1406,7 +1382,7 @@ impl Engine {
         }
         let mut unchoked = 0u32;
         let mut reciprocal = 0u32;
-        for c in self.conns.values() {
+        for c in &self.conns {
             if !c.am_choking {
                 unchoked += 1;
                 if !c.peer_choking {
@@ -1436,20 +1412,14 @@ impl Engine {
                 .enumerate()
                 .map(|(rank, &i)| {
                     let s = &snapshots[i];
-                    let outcome = if decision.optimistic == Some(s.key) {
-                        if self.is_seed {
-                            ChokeOutcome::SeedRandom
-                        } else {
-                            ChokeOutcome::Optimistic
-                        }
-                    } else if decision.regular.contains(&s.key) {
-                        if self.is_seed {
-                            ChokeOutcome::SeedKept
-                        } else {
-                            ChokeOutcome::Regular
-                        }
-                    } else {
-                        ChokeOutcome::Choked
+                    let optimistic = decision.optimistic == Some(s.key);
+                    let regular = decision.regular.contains(&s.key);
+                    let outcome = match (optimistic, regular, self.is_seed) {
+                        (true, _, true) => ChokeOutcome::SeedRandom,
+                        (true, _, false) => ChokeOutcome::Optimistic,
+                        (false, true, true) => ChokeOutcome::SeedKept,
+                        (false, true, false) => ChokeOutcome::Regular,
+                        (false, false, _) => ChokeOutcome::Choked,
                     };
                     ChokeAuditEntry {
                         conn: s.key,
@@ -1508,9 +1478,9 @@ impl Engine {
 
     fn periodic_duties(&mut self, now: Instant) {
         // Rate-estimator log for active peers (§III-C).
-        let mut samples: Vec<(ConnId, f64, f64)> = self
+        let samples: Vec<(ConnId, f64, f64)> = self
             .conns
-            .values_mut()
+            .iter_mut()
             .filter(|c| c.in_active_set() || !c.peer_choking)
             .map(|c| {
                 let d = c.download.rate(now);
@@ -1518,7 +1488,6 @@ impl Engine {
                 (c.id, d, u)
             })
             .collect();
-        samples.sort_unstable_by_key(|(id, _, _)| *id);
         if self.trace.is_some() {
             for (peer, download_rate, upload_rate) in samples {
                 self.record(
@@ -1532,13 +1501,12 @@ impl Engine {
             }
         }
         // Keep-alives after 2 minutes of silence.
-        let mut quiet: Vec<ConnId> = self
+        let quiet: Vec<ConnId> = self
             .conns
-            .values()
+            .iter()
             .filter(|c| now.saturating_since(c.last_sent) >= self.config.keepalive)
             .map(|c| c.id)
             .collect();
-        quiet.sort_unstable();
         for id in quiet {
             self.send(now, id, Message::KeepAlive);
         }
@@ -1578,7 +1546,7 @@ impl Engine {
     }
 
     fn send(&mut self, now: Instant, conn: ConnId, msg: Message) {
-        if let Some(c) = self.conns.get_mut(&conn) {
+        if let Some(c) = self.conn_mut(conn) {
             c.last_sent = now;
         }
         if self.trace.is_some() {
@@ -1997,6 +1965,44 @@ mod tests {
         assert_eq!(e.peer_set_size(), 0);
     }
 
+    /// A second piece map must not overwrite pieces availability has
+    /// already counted: any map (`bitfield`, `have all`, `have none`)
+    /// after any other is a protocol violation, and the peer's counted
+    /// pieces leave with it.
+    #[test]
+    fn duplicate_bitfield_drops_peer() {
+        let maps = || {
+            [
+                Message::Bitfield(Bitfield::full(4).to_wire()),
+                Message::HaveAll,
+                Message::HaveNone,
+            ]
+        };
+        for first in maps() {
+            for second in maps() {
+                let mut e = leecher(1);
+                let t = Instant::ZERO;
+                let _other = connect_peer(&mut e, t, 8, &[1, 2]);
+                let id = connect_with(&mut e, t, 7, PeerCaps::default()).unwrap();
+                feed(&mut e, t, id, first.clone());
+                let _ = e.drain_actions();
+                let msg = second.clone();
+                let err = e.handle(t, Input::Message { conn: id, msg }).take_error();
+                let case = format!("{first:?} then {second:?}");
+                assert_eq!(
+                    err,
+                    Some(EngineError::DuplicateBitfield { conn: id }),
+                    "{case}"
+                );
+                let acts = e.drain_actions();
+                assert!(acts.contains(&Action::Disconnect { conn: id }), "{case}");
+                assert_eq!(e.peer_set_size(), 1, "{case}");
+                let counts: Vec<u32> = (0..4).map(|p| e.availability().count(p)).collect();
+                assert_eq!(counts, vec![0, 1, 1, 0], "{case}");
+            }
+        }
+    }
+
     #[test]
     fn out_of_range_have_drops_peer() {
         let mut e = leecher(1);
@@ -2344,7 +2350,7 @@ mod tests {
         );
         // Connect a second peer, then run a rechoke past the pex interval:
         // the first peer is gossiped the second's address.
-        let _b = e
+        let b = e
             .handle(
                 t,
                 Input::PeerConnected {
@@ -2385,6 +2391,34 @@ mod tests {
                 .any(|x| matches!(x, Action::Connect { peer } if peer.ip == IpAddr(99))),
             "pex-learned peer must be dialled: {acts:?}"
         );
+        // Four more peers join (ids ascend, addresses do not): the next
+        // gossip adds them; once they and B leave, the one after drops
+        // all five, in ascending address order.
+        let gossip_to_a = |e: &mut Engine, at: u64| {
+            e.rechoke(Instant::from_secs(at));
+            let payload = e.drain_actions().into_iter().find_map(|x| match x {
+                Action::Send {
+                    conn,
+                    msg: Message::Extended { ext_id: 1, payload },
+                } if conn == a => Some(payload),
+                _ => None,
+            });
+            bt_wire::extension::PexPayload::decode(&payload.expect("gossip sent")).unwrap()
+        };
+        let ips = |entries: &[PeerEntry]| entries.iter().map(|p| p.ip.0).collect::<Vec<u32>>();
+        let late: Vec<ConnId> = [65, 62, 64, 63]
+            .into_iter()
+            .map(|ip| connect_with(&mut e, t, ip, caps).unwrap())
+            .collect();
+        let pex = gossip_to_a(&mut e, 140);
+        assert_eq!(ips(&pex.added), vec![62, 63, 64, 65]);
+        assert!(pex.dropped.is_empty());
+        for conn in late.into_iter().chain([b]) {
+            e.handle(t, Input::PeerDisconnected { conn });
+        }
+        let pex = gossip_to_a(&mut e, 210);
+        assert!(pex.added.is_empty());
+        assert_eq!(ips(&pex.dropped), vec![61, 62, 63, 64, 65]);
     }
 
     #[test]

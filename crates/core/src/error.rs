@@ -39,6 +39,12 @@ pub enum EngineError {
         /// The block reference as received.
         block: BlockRef,
     },
+    /// A second piece map (`bitfield`, `have all` or `have none`) on a
+    /// connection that already sent one.
+    DuplicateBitfield {
+        /// The offending connection.
+        conn: ConnId,
+    },
 }
 
 impl EngineError {
@@ -47,7 +53,8 @@ impl EngineError {
         match *self {
             EngineError::BadBitfield { conn, .. }
             | EngineError::PieceOutOfRange { conn, .. }
-            | EngineError::MalformedBlock { conn, .. } => conn,
+            | EngineError::MalformedBlock { conn, .. }
+            | EngineError::DuplicateBitfield { conn } => conn,
         }
     }
 }
@@ -74,6 +81,9 @@ impl std::fmt::Display for EngineError {
                 "conn {conn}: block {}/{}+{} is not on the block grid",
                 block.piece, block.offset, block.length
             ),
+            EngineError::DuplicateBitfield { conn } => {
+                write!(f, "conn {conn}: second bitfield on one connection")
+            }
         }
     }
 }

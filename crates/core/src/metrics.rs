@@ -48,6 +48,7 @@ pub struct EngineMetrics {
     pub(crate) err_bad_bitfield: Counter,
     pub(crate) err_piece_out_of_range: Counter,
     pub(crate) err_malformed_block: Counter,
+    pub(crate) err_duplicate_bitfield: Counter,
 
     pub(crate) pieces_completed: Counter,
     pub(crate) pieces_failed: Counter,
@@ -91,6 +92,7 @@ impl EngineMetrics {
             err_bad_bitfield: registry.counter_with("core.errors.bad_bitfield", label),
             err_piece_out_of_range: registry.counter_with("core.errors.piece_out_of_range", label),
             err_malformed_block: registry.counter_with("core.errors.malformed_block", label),
+            err_duplicate_bitfield: registry.counter_with("core.errors.duplicate_bitfield", label),
             pieces_completed: registry.counter_with("core.pieces_completed", label),
             pieces_failed: registry.counter_with("core.pieces_failed", label),
             choke_rounds: registry.counter_with("core.choke.rounds", label),
@@ -145,6 +147,7 @@ impl EngineMetrics {
             EngineError::BadBitfield { .. } => self.err_bad_bitfield.inc(),
             EngineError::PieceOutOfRange { .. } => self.err_piece_out_of_range.inc(),
             EngineError::MalformedBlock { .. } => self.err_malformed_block.inc(),
+            EngineError::DuplicateBitfield { .. } => self.err_duplicate_bitfield.inc(),
         }
     }
 }

@@ -19,8 +19,7 @@
 use crate::geometry::Geometry;
 use crate::picker::{PickContext, PiecePicker};
 use bt_wire::message::BlockRef;
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// Download state of one partially received piece.
 #[derive(Debug, Clone)]
@@ -44,6 +43,42 @@ impl PartialPiece {
     fn is_complete(&self) -> bool {
         self.received_count as usize == self.received.len()
     }
+
+    /// Request this piece's missing, not yet requested blocks in block
+    /// order, recording each in the peer's `list` and in `out`, until
+    /// `out` holds `max`.
+    fn request_fresh(
+        &mut self,
+        geometry: Geometry,
+        piece: u32,
+        list: &mut Vec<BlockRef>,
+        max: usize,
+        out: &mut Vec<BlockRef>,
+    ) {
+        for idx in 0..self.received.len() {
+            if out.len() >= max {
+                return;
+            }
+            if !self.received[idx] && self.requested[idx] == 0 {
+                let block = geometry.block_ref(piece, idx as u32);
+                self.requested[idx] += 1;
+                list.push(block);
+                out.push(block);
+            }
+        }
+    }
+
+    /// One outstanding request for `block` went away.
+    fn release(&mut self, block: BlockRef) {
+        let idx = block.block_index() as usize;
+        self.requested[idx] = self.requested[idx].saturating_sub(1);
+    }
+}
+
+/// Remove `block` from a peer's outstanding list; true if it was there.
+fn take(list: &mut Vec<BlockRef>, block: BlockRef) -> bool {
+    let pos = list.iter().position(|b| *b == block);
+    pos.map(|i| list.swap_remove(i)).is_some()
 }
 
 /// Result of [`RequestScheduler::on_block_received`].
@@ -53,30 +88,46 @@ pub struct BlockReceipt<P> {
     /// verify the hash and then call [`RequestScheduler::on_piece_verified`]
     /// or [`RequestScheduler::on_piece_failed`].
     pub completed_piece: Option<u32>,
-    /// `cancel` messages to send: end-game duplicates now satisfied.
+    /// `cancel` messages to send: end-game duplicates now satisfied, in
+    /// ascending peer order.
     pub cancels: Vec<(P, BlockRef)>,
     /// False if the block was not an outstanding request from this peer
     /// (stale, duplicate, or unsolicited) and was dropped.
     pub accepted: bool,
 }
 
+impl<P> BlockReceipt<P> {
+    fn dropped() -> BlockReceipt<P> {
+        BlockReceipt {
+            completed_piece: None,
+            cancels: Vec::new(),
+            accepted: false,
+        }
+    }
+}
+
 /// Block request scheduler for one torrent, generic over the peer key `P`.
+///
+/// Both maps are ordered, so every sweep (strict priority, end game,
+/// cancels) visits pieces and peers in ascending order and runs stay
+/// reproducible without sorting.
 #[derive(Debug)]
-pub struct RequestScheduler<P: Copy + Eq + Ord + Hash> {
+pub struct RequestScheduler<P: Copy + Ord> {
     geometry: Geometry,
-    partial: HashMap<u32, PartialPiece>,
-    outstanding: HashMap<P, HashSet<BlockRef>>,
+    partial: BTreeMap<u32, PartialPiece>,
+    /// Per peer: blocks requested from it and not yet answered.
+    outstanding: BTreeMap<P, Vec<BlockRef>>,
     endgame: bool,
     endgame_enabled: bool,
 }
 
-impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
+impl<P: Copy + Ord> RequestScheduler<P> {
     /// Create a scheduler for a torrent with the given geometry.
     pub fn new(geometry: Geometry) -> Self {
         RequestScheduler {
             geometry,
-            partial: HashMap::new(),
-            outstanding: HashMap::new(),
+            partial: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
             endgame: false,
             endgame_enabled: true,
         }
@@ -102,7 +153,7 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         self.endgame
     }
 
-    /// Pieces currently being downloaded.
+    /// Pieces currently being downloaded, ascending.
     pub fn in_progress(&self) -> impl Iterator<Item = u32> + '_ {
         self.partial.keys().copied()
     }
@@ -114,12 +165,12 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
 
     /// Outstanding requests to `peer`.
     pub fn outstanding_to(&self, peer: P) -> usize {
-        self.outstanding.get(&peer).map_or(0, HashSet::len)
+        self.outstanding.get(&peer).map_or(0, Vec::len)
     }
 
     /// Total outstanding requests across all peers.
     pub fn total_outstanding(&self) -> usize {
-        self.outstanding.values().map(HashSet::len).sum()
+        self.outstanding.values().map(Vec::len).sum()
     }
 
     /// Compute up to `max_new` block requests to send to `peer`.
@@ -146,21 +197,17 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         if max_new == 0 {
             return out;
         }
+        let geometry = self.geometry;
+        let list = self.outstanding.entry(peer).or_default();
 
-        // 1. Strict priority: continue partial pieces the remote has.
-        // Deterministic order (sorted piece index) keeps runs reproducible.
-        let mut partial_pieces: Vec<u32> = self
-            .partial
-            .iter()
-            .filter(|(_, st)| !st.is_complete())
-            .map(|(&p, _)| p)
-            .filter(|&p| p < ctx.remote.len() && ctx.remote.get(p))
-            .collect();
-        partial_pieces.sort_unstable();
-        for piece in partial_pieces {
-            self.fill_from_piece(peer, piece, max_new, &mut out);
-            if out.len() >= max_new {
-                return out;
+        // 1. Strict priority: continue partial pieces the remote has, in
+        // ascending piece order.
+        for (&piece, state) in &mut self.partial {
+            if piece < ctx.remote.len() && ctx.remote.get(piece) {
+                state.request_fresh(geometry, piece, list, max_new, &mut out);
+                if out.len() >= max_new {
+                    return out;
+                }
             }
         }
 
@@ -181,11 +228,10 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
                 !self.partial.contains_key(&piece),
                 "picker reopened a piece"
             );
-            self.partial.insert(
-                piece,
-                PartialPiece::new(self.geometry.blocks_in_piece(piece)),
-            );
-            self.fill_from_piece(peer, piece, max_new, &mut out);
+            self.partial
+                .entry(piece)
+                .or_insert_with(|| PartialPiece::new(geometry.blocks_in_piece(piece)))
+                .request_fresh(geometry, piece, list, max_new, &mut out);
         }
         if out.len() >= max_new {
             return out;
@@ -208,32 +254,20 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         let was_outstanding = self
             .outstanding
             .get_mut(&peer)
-            .is_some_and(|set| set.remove(&block));
+            .is_some_and(|list| take(list, block));
         let Some(state) = self.partial.get_mut(&block.piece) else {
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         };
         let idx = block.block_index() as usize;
         if idx >= state.received.len() {
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         }
         if was_outstanding {
-            state.requested[idx] = state.requested[idx].saturating_sub(1);
+            state.release(block);
         }
         if state.received[idx] {
             // End-game duplicate that raced its cancel: drop it.
-            return BlockReceipt {
-                completed_piece: None,
-                cancels: Vec::new(),
-                accepted: false,
-            };
+            return BlockReceipt::dropped();
         }
         state.received[idx] = true;
         state.received_count += 1;
@@ -242,16 +276,12 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         // Cancel this block everywhere else (end game mode semantics).
         let mut cancels = Vec::new();
         if state.requested[idx] > 0 {
-            for (&other, set) in self.outstanding.iter_mut() {
-                if set.remove(&block) {
+            for (&other, list) in &mut self.outstanding {
+                if take(list, block) {
                     cancels.push((other, block));
                 }
             }
-            cancels.sort_unstable_by_key(|(p, _)| *p);
-            self.partial
-                .get_mut(&block.piece)
-                .expect("still present")
-                .requested[idx] = 0;
+            state.requested[idx] = 0;
         }
         BlockReceipt {
             completed_piece: completed,
@@ -277,8 +307,8 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
             *state = PartialPiece::new(self.geometry.blocks_in_piece(piece));
             // Any outstanding end-game duplicates for this piece are now
             // stale; drop them from the bookkeeping.
-            for set in self.outstanding.values_mut() {
-                set.retain(|b| b.piece != piece);
+            for list in self.outstanding.values_mut() {
+                list.retain(|b| b.piece != piece);
             }
         }
     }
@@ -287,15 +317,10 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
     /// Returns the requests that were dropped (their blocks become
     /// requestable again).
     pub fn on_choked(&mut self, peer: P) -> Vec<BlockRef> {
-        let dropped: Vec<BlockRef> = self
-            .outstanding
-            .remove(&peer)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
+        let dropped = self.outstanding.remove(&peer).unwrap_or_default();
         for b in &dropped {
             if let Some(state) = self.partial.get_mut(&b.piece) {
-                let idx = b.block_index() as usize;
-                state.requested[idx] = state.requested[idx].saturating_sub(1);
+                state.release(*b);
             }
         }
         dropped
@@ -312,30 +337,13 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         let removed = self
             .outstanding
             .get_mut(&peer)
-            .is_some_and(|set| set.remove(&block));
+            .is_some_and(|list| take(list, block));
         if removed {
             if let Some(state) = self.partial.get_mut(&block.piece) {
-                let idx = block.block_index() as usize;
-                state.requested[idx] = state.requested[idx].saturating_sub(1);
+                state.release(block);
             }
         }
         removed
-    }
-
-    fn fill_from_piece(&mut self, peer: P, piece: u32, max: usize, out: &mut Vec<BlockRef>) {
-        let state = self.partial.get_mut(&piece).expect("piece in progress");
-        let blocks = state.received.len();
-        for idx in 0..blocks {
-            if out.len() >= max {
-                return;
-            }
-            if !state.received[idx] && state.requested[idx] == 0 {
-                let block = self.geometry.block_ref(piece, idx as u32);
-                state.requested[idx] += 1;
-                self.outstanding.entry(peer).or_default().insert(block);
-                out.push(block);
-            }
-        }
     }
 
     fn all_blocks_requested(&self, ctx: &PickContext<'_>) -> bool {
@@ -360,31 +368,24 @@ impl<P: Copy + Eq + Ord + Hash> RequestScheduler<P> {
         max: usize,
         out: &mut Vec<BlockRef>,
     ) {
-        let mut pieces: Vec<u32> = self
-            .partial
-            .iter()
-            .filter(|(_, st)| !st.is_complete())
-            .map(|(&p, _)| p)
-            .filter(|&p| p < ctx.remote.len() && ctx.remote.get(p))
-            .collect();
-        pieces.sort_unstable();
-        for piece in pieces {
-            let blocks = self.partial[&piece].received.len();
-            for idx in 0..blocks {
+        let list = self.outstanding.entry(peer).or_default();
+        for (&piece, state) in &mut self.partial {
+            if state.is_complete() || piece >= ctx.remote.len() || !ctx.remote.get(piece) {
+                continue;
+            }
+            for idx in 0..state.received.len() {
                 if out.len() >= max {
                     return;
                 }
-                let state = &self.partial[&piece];
                 if state.received[idx] {
                     continue;
                 }
                 let block = self.geometry.block_ref(piece, idx as u32);
-                let set = self.outstanding.entry(peer).or_default();
-                if set.contains(&block) {
+                if list.contains(&block) {
                     continue; // already asked this peer
                 }
-                set.insert(block);
-                self.partial.get_mut(&piece).expect("present").requested[idx] += 1;
+                list.push(block);
+                state.requested[idx] += 1;
                 out.push(block);
             }
         }
