@@ -286,7 +286,7 @@ fn run_sim(spec: SwarmSpec, args: &[String]) {
         // Virtual-clock registry: the snapshot file is a deterministic
         // function of the spec and seed.
         swarm = swarm.with_metrics(reg.clone());
-        // The observatory rides the same sampling events: time-series
+        // The observatory rides the same sampling boundaries: time-series
         // rings and the paper-invariant health monitors, both equally
         // deterministic.
         swarm = swarm.with_health(bt_analysis::live::Thresholds::default());

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// SplitMix64 finalizer — the same injective mixer `PeerId::new` and
-/// the PR 8 peer-class placement use. Sampling decisions hash through
+/// the simulator's peer-class placement use. Sampling decisions hash through
 /// this so they cost no RNG draws and never perturb a run.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -6,81 +6,26 @@
 //! it doesn't panic, and reports nothing. Set `CRITERION_FULL=1` to get
 //! timed runs with a mean-per-iteration report (no statistics beyond
 //! that — this is a shim, not a measurement tool).
-//!
-//! A third mode, [`Criterion::collecting`], times every benchmark but
-//! hands the measurements back as [`BenchResult`]s instead of printing,
-//! so harnesses (`benchrun`) can run bench bodies programmatically and
-//! serialise the numbers.
 
 use std::time::Instant;
 
 /// Re-exported for drop-in compatibility with `criterion::black_box`.
 pub use std::hint::black_box;
 
-/// One timed measurement captured by a [`Criterion::collecting`] driver.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Group name.
-    pub group: String,
-    /// Benchmark name (with any `BenchmarkId` parameter suffix).
-    pub name: String,
-    /// Mean wall nanoseconds per iteration.
-    pub ns_per_iter: u128,
-    /// Throughput annotation active when the benchmark ran.
-    pub throughput: Option<Throughput>,
-}
-
-impl BenchResult {
-    /// Bytes processed per second, when annotated with
-    /// [`Throughput::Bytes`] and the measurement is non-zero.
-    pub fn bytes_per_sec(&self) -> Option<f64> {
-        match self.throughput {
-            Some(Throughput::Bytes(bytes)) if self.ns_per_iter > 0 => {
-                Some(bytes as f64 / (self.ns_per_iter as f64 / 1e9))
-            }
-            _ => None,
-        }
-    }
-
-    /// Iterations per second, when the measurement is non-zero.
-    pub fn iters_per_sec(&self) -> Option<f64> {
-        (self.ns_per_iter > 0).then(|| 1e9 / self.ns_per_iter as f64)
-    }
-}
-
 /// Top-level benchmark driver, handed to each `criterion_group!` target.
 pub struct Criterion {
     full: bool,
-    collect: bool,
-    results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
     fn default() -> Criterion {
         Criterion {
             full: std::env::var_os("CRITERION_FULL").is_some(),
-            collect: false,
-            results: Vec::new(),
         }
     }
 }
 
 impl Criterion {
-    /// A driver that times every benchmark (like `CRITERION_FULL=1`)
-    /// but records the measurements for the caller instead of printing.
-    pub fn collecting() -> Criterion {
-        Criterion {
-            full: true,
-            collect: true,
-            results: Vec::new(),
-        }
-    }
-
-    /// Measurements captured so far (collection mode only).
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Start a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -168,15 +113,6 @@ impl BenchmarkGroup<'_> {
             elapsed_ns: 0,
         };
         f(&mut bencher);
-        if self.criterion.collect && bencher.iters > 0 {
-            self.criterion.results.push(BenchResult {
-                group: self.name.clone(),
-                name,
-                ns_per_iter: bencher.elapsed_ns / u128::from(bencher.iters),
-                throughput: self.throughput,
-            });
-            return;
-        }
         if self.criterion.full && bencher.iters > 0 {
             let per_iter = bencher.elapsed_ns / bencher.iters as u128;
             let rate = match self.throughput {
@@ -240,11 +176,7 @@ mod tests {
     #[test]
     fn smoke_mode_runs_each_body_once() {
         let mut calls = 0u32;
-        let mut c = Criterion {
-            full: false,
-            collect: false,
-            results: Vec::new(),
-        };
+        let mut c = Criterion { full: false };
         let mut group = c.benchmark_group("g");
         group.bench_function("one", |b| b.iter(|| calls += 1));
         group.bench_with_input(BenchmarkId::new("two", 7), &7u32, |b, &x| {
@@ -252,27 +184,5 @@ mod tests {
         });
         group.finish();
         assert_eq!(calls, 8);
-    }
-
-    #[test]
-    fn collecting_mode_records_measurements() {
-        let mut c = Criterion::collecting();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(10);
-        group.throughput(Throughput::Bytes(1 << 20));
-        group.bench_function("spin", |b| {
-            b.iter(|| std::thread::sleep(std::time::Duration::from_micros(50)))
-        });
-        group.finish();
-        let results = c.results();
-        assert_eq!(results.len(), 1);
-        assert_eq!(
-            (results[0].group.as_str(), results[0].name.as_str()),
-            ("g", "spin")
-        );
-        assert!(results[0].ns_per_iter >= 50_000, "slept 50µs per iter");
-        let rate = results[0].bytes_per_sec().unwrap();
-        assert!(rate > 0.0 && rate.is_finite());
-        assert!(results[0].iters_per_sec().unwrap() > 0.0);
     }
 }

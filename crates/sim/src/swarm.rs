@@ -90,7 +90,9 @@ pub struct SwarmSpec {
     pub latency_jitter: Option<Duration>,
     /// Transfer round length.
     pub transfer_round: Duration,
-    /// Availability sampling period for the instrumented peer.
+    /// Sampling period: the instrumented peer's availability trace, the
+    /// global replication series, and attached observers (metrics
+    /// snapshots, series points, health verdicts).
     pub sample_every: Duration,
     /// Probability that a delivered block is corrupted in flight
     /// (exercises hash-failure recovery; only meaningful with real data).
@@ -464,6 +466,11 @@ pub struct Swarm {
     uses_global_picker: bool,
     metrics: Option<SimMetrics>,
     metric_snapshots: Vec<bt_obs::Snapshot>,
+    /// Virtual time of the next observer sample, taken by the event
+    /// loop as it crosses that time rather than by a queued event, so
+    /// observing never changes the run; `Instant(u64::MAX)` while no
+    /// registry is attached.
+    next_observation: Instant,
     series: Option<bt_obs::SeriesStore>,
     health: Option<HealthMonitor>,
     /// Clock reading (µs) when each peer last received a block (or
@@ -660,6 +667,7 @@ impl Swarm {
             uses_global_picker,
             metrics: None,
             metric_snapshots: Vec::new(),
+            next_observation: Instant(u64::MAX),
             series: None,
             health: None,
             last_progress: vec![0; n],
@@ -693,12 +701,7 @@ impl Swarm {
         for p in &mut self.peers {
             p.engine.set_metrics(metrics.engine.clone());
         }
-        // Snapshots ride the sampling period; make sure it fires even
-        // when neither a local trace nor global sampling asked for it.
-        if self.spec.local.is_none() && !self.spec.sample_global {
-            self.queue
-                .schedule(Instant(self.spec.sample_every.0), Ev::Sample);
-        }
+        self.next_observation = Instant(self.spec.sample_every.0);
         self.metrics = Some(metrics);
         self
     }
@@ -878,6 +881,9 @@ impl Swarm {
             if next > end {
                 break;
             }
+            if next > self.next_observation {
+                self.observe_until(next);
+            }
             let (now, ev) = {
                 let _span_guard = self.profiler.span("sim.event_pop");
                 self.queue.pop().expect("peeked")
@@ -905,20 +911,9 @@ impl Swarm {
         if let Some(t) = self.profiler.time() {
             t.advance_to(end.0);
         }
-        if self.metrics.is_some() {
-            if let Some(m) = &self.metrics {
-                m.registry().time().advance_to(end.0);
-            }
-            self.update_metric_gauges(end);
-            self.observe_health(end);
-            if let Some(m) = &self.metrics {
-                let snap = m.registry().snapshot();
-                if let Some(store) = &self.series {
-                    store.append_snapshot(&snap);
-                }
-                self.metric_snapshots.push(snap);
-            }
-        }
+        // The boundaries the loop did not cross, then the final sample.
+        self.observe_until(Instant(end.0.saturating_add(1)));
+        self.observe(end);
         let trace = self
             .spec
             .local
@@ -940,6 +935,32 @@ impl Swarm {
             profile: self.profiler.is_enabled().then(|| self.profiler.snapshot()),
             health: self.health.as_ref().map(|m| m.report()),
         }
+    }
+
+    /// Take every observer sample due before `t`: one per
+    /// `sample_every` boundary.
+    fn observe_until(&mut self, t: Instant) {
+        while self.next_observation < t {
+            let at = self.next_observation;
+            self.next_observation = at + self.spec.sample_every;
+            self.observe(at);
+        }
+    }
+
+    /// One observer sample at `now`: refresh the gauges, feed the health
+    /// monitors, and record a registry snapshot (and series points).
+    fn observe(&mut self, now: Instant) {
+        let Some(registry) = self.metrics.as_ref().map(|m| m.registry().clone()) else {
+            return;
+        };
+        registry.time().advance_to(now.0);
+        self.update_metric_gauges(now);
+        self.observe_health(now);
+        let snap = registry.snapshot();
+        if let Some(store) = &self.series {
+            store.append_snapshot(&snap);
+        }
+        self.metric_snapshots.push(snap);
     }
 
     /// Refresh the `sim.*` gauges from swarm state: virtual progress,
@@ -1312,17 +1333,6 @@ impl Swarm {
                 }
                 if self.spec.sample_global {
                     self.sample_global_truth(now);
-                }
-                if self.metrics.is_some() {
-                    self.update_metric_gauges(now);
-                    self.observe_health(now);
-                    if let Some(m) = &self.metrics {
-                        let snap = m.registry().snapshot();
-                        if let Some(store) = &self.series {
-                            store.append_snapshot(&snap);
-                        }
-                        self.metric_snapshots.push(snap);
-                    }
                 }
                 self.queue
                     .schedule(now + self.spec.sample_every, Ev::Sample);
@@ -1974,6 +1984,15 @@ mod tests {
         }
     }
 
+    /// [`tiny_spec`] without an instrumented local peer: nothing queues
+    /// sample events, so an observer that did would change the digest.
+    fn tiny_spec_no_local(seed: u64) -> SwarmSpec {
+        SwarmSpec {
+            local: None,
+            ..tiny_spec(seed)
+        }
+    }
+
     #[test]
     fn water_fill_properties() {
         // Budget below total demand: equal shares to the unsaturated.
@@ -2097,17 +2116,17 @@ mod tests {
 
     #[test]
     fn metrics_are_deterministic_and_do_not_perturb_the_run() {
-        let run = |with_metrics: bool| {
-            let swarm = Swarm::new(tiny_spec(7));
+        let run = |spec: SwarmSpec, with_metrics: bool| {
+            let swarm = Swarm::new(spec);
             if with_metrics {
                 swarm.with_metrics(bt_obs::Registry::new_manual()).run()
             } else {
                 swarm.run()
             }
         };
-        let a = run(true);
-        let b = run(true);
-        let bare = run(false);
+        let a = run(tiny_spec(7), true);
+        let b = run(tiny_spec(7), true);
+        let bare = run(tiny_spec(7), false);
         // Same spec + same seed ⇒ byte-identical snapshot lines.
         let lines_a: Vec<String> = a.metrics.iter().map(|s| s.to_jsonl_line()).collect();
         let lines_b: Vec<String> = b.metrics.iter().map(|s| s.to_jsonl_line()).collect();
@@ -2116,6 +2135,13 @@ mod tests {
         // Attaching metrics must not change what the engines do.
         assert_eq!(a.completion, bare.completion);
         assert_eq!(a.events_processed, bare.events_processed);
+        assert_eq!(a.digest(), bare.digest());
+        let no_local = run(tiny_spec_no_local(7), true);
+        assert_eq!(no_local.metrics.len(), a.metrics.len());
+        assert_eq!(
+            no_local.digest(),
+            run(tiny_spec_no_local(7), false).digest()
+        );
         assert_eq!(a.trace.unwrap().events, bare.trace.unwrap().events);
         // The aggregate engine and swarm series actually accumulated.
         let last = a.metrics.last().unwrap();
@@ -2134,8 +2160,8 @@ mod tests {
 
     #[test]
     fn series_and_health_are_deterministic_and_do_not_perturb_the_run() {
-        let run = |with_obs: bool| {
-            let swarm = Swarm::new(tiny_spec(7));
+        let run = |spec: SwarmSpec, with_obs: bool| {
+            let swarm = Swarm::new(spec);
             if with_obs {
                 let registry = bt_obs::Registry::new_manual();
                 let store = bt_obs::SeriesStore::new(&registry);
@@ -2148,9 +2174,9 @@ mod tests {
                 (swarm.run(), None)
             }
         };
-        let (a, store_a) = run(true);
-        let (_b, store_b) = run(true);
-        let (bare, _) = run(false);
+        let (a, store_a) = run(tiny_spec(7), true);
+        let (_b, store_b) = run(tiny_spec(7), true);
+        let (bare, _) = run(tiny_spec(7), false);
         // Same spec + seed ⇒ byte-identical series JSON, filtered or not.
         let json_a = store_a.as_ref().unwrap().to_json(None);
         assert_eq!(json_a, store_b.as_ref().unwrap().to_json(None));
@@ -2161,6 +2187,11 @@ mod tests {
         // Observers must not change what the engines do.
         assert_eq!(a.completion, bare.completion);
         assert_eq!(a.events_processed, bare.events_processed);
+        assert_eq!(a.digest(), bare.digest());
+        assert_eq!(
+            run(tiny_spec_no_local(7), true).0.digest(),
+            run(tiny_spec_no_local(7), false).0.digest()
+        );
         assert_eq!(a.trace.unwrap().events, bare.trace.unwrap().events);
         assert!(bare.health.is_none());
         // Series carry both sampled instruments and monitor floats.
@@ -2178,8 +2209,8 @@ mod tests {
 
     #[test]
     fn profiling_is_deterministic_and_does_not_perturb_the_run() {
-        let run = |with_profiler: bool| {
-            let swarm = Swarm::new(tiny_spec(7));
+        let run = |spec: SwarmSpec, with_profiler: bool| {
+            let swarm = Swarm::new(spec);
             if with_profiler {
                 swarm
                     .with_profiler(bt_obs::Profiler::new(bt_obs::TimeSource::manual()))
@@ -2188,9 +2219,9 @@ mod tests {
                 swarm.run()
             }
         };
-        let a = run(true);
-        let b = run(true);
-        let bare = run(false);
+        let a = run(tiny_spec(7), true);
+        let b = run(tiny_spec(7), true);
+        let bare = run(tiny_spec(7), false);
         // Same spec + same seed ⇒ byte-identical profile JSON.
         let pa = a.profile.as_ref().expect("profile attached");
         let pb = b.profile.as_ref().expect("profile attached");
@@ -2199,6 +2230,11 @@ mod tests {
         assert!(bare.profile.is_none());
         assert_eq!(a.completion, bare.completion);
         assert_eq!(a.events_processed, bare.events_processed);
+        assert_eq!(a.digest(), bare.digest());
+        assert_eq!(
+            run(tiny_spec_no_local(7), true).digest(),
+            run(tiny_spec_no_local(7), false).digest()
+        );
         assert_eq!(a.trace.unwrap().events, bare.trace.unwrap().events);
         // The instrumented hot paths all recorded, with engine spans
         // nested under the sim dispatch span.

@@ -13,6 +13,7 @@
 //! random draw), and the first rule matching `(from_class, to_class)`
 //! wins — put specific rules before the `*` catch-alls.
 
+use bt_obs::trace::splitmix64;
 use bt_wire::time::Duration;
 
 /// Names of the built-in topology presets, in presentation order.
@@ -323,16 +324,6 @@ impl TopologySpec {
         }
         self.classes.len() - 1
     }
-}
-
-/// SplitMix64 — the standard seeded index hash (also used by the
-/// tracker's incremental shuffle).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -78,11 +78,14 @@ fn mega_fingerprint() -> String {
     )
 }
 
-/// The same fingerprints with the causal tracer on: sampling hashes
-/// piece/peer ids with splitmix64 and never consumes master-RNG draws,
-/// so every line — the per-torrent trace hashes at `trace_sample=2`
-/// and the 10k-peer digest at 1/64 — must stay byte-identical to the
-/// committed fixture.
+/// The same fingerprints with observers attached: the per-torrent
+/// trace hashes at `trace_sample=2`, and the 10k-peer digest with the
+/// whole observatory (manual-clock registry, series store, health
+/// monitors, manual-clock profiler) plus the causal tracer at 1/64.
+/// Tracer sampling hashes piece/peer ids with splitmix64 and never
+/// consumes master-RNG draws, and observer samples are taken between
+/// events rather than queued as events, so every line must stay
+/// byte-identical to the committed fixture.
 #[test]
 fn golden_fingerprints_unchanged_with_causal_tracing_on() {
     if std::env::var_os("BT_UPDATE_GOLDEN").is_some() {
@@ -117,7 +120,17 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
     };
     let spec = bt_repro::torrents::scenarios::mega_flash_crowd(10_000, &opts);
     let tracer = bt_repro::obs::Tracer::new(42, 64);
-    let result = Swarm::new(spec).with_trace(tracer.clone()).run();
+    let registry = bt_repro::obs::Registry::new_manual();
+    let store = bt_repro::obs::SeriesStore::new(&registry);
+    let result = Swarm::new(spec)
+        .with_metrics(registry)
+        .with_series(store)
+        .with_health(Default::default())
+        .with_profiler(bt_repro::obs::Profiler::new(
+            bt_repro::obs::TimeSource::manual(),
+        ))
+        .with_trace(tracer.clone())
+        .run();
     writeln!(
         actual,
         "scenario=flash_crowd_10k events={} completed={} digest={:016x}",
@@ -131,11 +144,13 @@ fn golden_fingerprints_unchanged_with_causal_tracing_on() {
         !tracer.to_jsonl().is_empty(),
         "the 10k tracer sampled nothing at 1/64"
     );
+    // One snapshot per 30 s sampling boundary over 900 s, plus the final.
+    assert_eq!(result.metrics.len(), 31);
     let expected = std::fs::read_to_string(fixture_path()).expect("fixture exists");
     assert_eq!(
         actual, expected,
-        "causal tracing perturbed the golden fingerprints: traces must \
-         never consume master-RNG draws"
+        "observation perturbed the golden fingerprints: observers must \
+         never consume master-RNG draws or queue events"
     );
 }
 
